@@ -4,11 +4,10 @@
 // (hotspots inactive/active x CC off/on) plus the total-throughput rows
 // are printed in the paper's layout, alongside the paper's values.
 //
-//   ./table2_silent [--full] [--seed=S] [--csv=path] [--no-fast-path]
+//   ./table2_silent [--full] [--seed=S] [--csv=path]
 //
-// --no-fast-path runs the reference one-event-per-action fabric chain;
-// the printed table must be byte-identical to the default run, and the
-// wall-clock delta is the lazy-wakeup/coalescing win on this machine.
+// The quick seed-1 stdout is pinned in bench/expected/, which CI diffs
+// against.
 
 #include <cstdio>
 
@@ -25,13 +24,11 @@ int main(int argc, char** argv) {
   cli.add_flag("full", "paper-scale simulated time (also IBSIM_FULL=1)");
   cli.add_int("seed", 1, "random seed");
   cli.add_string("csv", "", "also write results as CSV to this path");
-  cli.add_flag("no-fast-path", "reference event chain (A/B timing; same output)");
   bench::add_store_option(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
   preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.fabric_fast_path = !cli.flag("no-fast-path");
   preset.result_store = cli.get_string("result-store");
 
   std::printf("Table II — performance numbers (Gbps), silent congestion trees\n");

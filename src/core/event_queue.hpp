@@ -8,25 +8,14 @@
 
 namespace ibsim::core {
 
-/// Which pending-event structure a Scheduler runs on.
-///
-/// `kTwoTier` is the production queue: a calendar wheel for the
-/// short-horizon events that dominate a busy fabric, backed by a 4-ary
-/// heap for far-future timers. `kHeap` is the plain 4-ary heap kept as
-/// the reference implementation — the A/B determinism tests prove both
-/// produce bit-identical simulations, and the perf harness measures the
-/// two against each other.
-enum class QueueKind : std::uint8_t { kTwoTier, kHeap };
-
-/// 4-ary min-heap of events ordered by (time, insertion sequence). The
-/// wider fan-out halves the tree depth of a binary heap and keeps sift
-/// paths within fewer cache lines.
+/// 4-ary min-heap of events ordered by (time, insertion sequence): the
+/// calendar queue's far-future tier and same-bucket overlay. The wider
+/// fan-out halves the tree depth of a binary heap and keeps sift paths
+/// within fewer cache lines.
 class HeapQueue {
  public:
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  void reserve(std::size_t n) { heap_.reserve(n); }
 
   /// Minimum event by (at, seq); undefined when empty.
   [[nodiscard]] const Event& top() const { return heap_.front(); }
@@ -56,7 +45,8 @@ class HeapQueue {
 /// their bucket when the wheel reaches them.
 ///
 /// Determinism contract: extraction order is exactly ascending (at, seq)
-/// — identical, bit for bit, to the reference HeapQueue — because every
+/// — identical to a plain HeapQueue over the same pushes (checked by
+/// CalendarQueue.MatchesHeapOnRandomWorkload) — because every
 /// bucket is sorted by (at, seq) before it drains, migrated heap events
 /// join the bucket before that sort, and same-bucket insertions made
 /// while the bucket drains go through a (at, seq)-ordered overlay heap
@@ -111,54 +101,6 @@ class CalendarQueue {
   bool front_in_overlay_ = false;  ///< where the last peek() found the min
   HeapQueue overlay_;  ///< current-bucket insertions made while it drains
   HeapQueue far_;      ///< events at or beyond the wheel horizon
-};
-
-/// The scheduler's pending-event set, switchable between the production
-/// two-tier calendar queue and the reference heap (see QueueKind). One
-/// predictable branch per operation buys a like-for-like A/B harness.
-class EventQueue {
- public:
-  explicit EventQueue(QueueKind kind) : kind_(kind) {
-    if (kind_ == QueueKind::kHeap) heap_.reserve(1 << 16);
-  }
-
-  [[nodiscard]] QueueKind kind() const { return kind_; }
-
-  [[nodiscard]] std::size_t size() const {
-    return kind_ == QueueKind::kTwoTier ? calendar_.size() : heap_.size();
-  }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
-  void push(const Event& ev) {
-    if (kind_ == QueueKind::kTwoTier) {
-      calendar_.push(ev);
-    } else {
-      heap_.push(ev);
-    }
-  }
-
-  [[nodiscard]] const Event* peek() {
-    if (kind_ == QueueKind::kTwoTier) return calendar_.peek();
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-
-  void pop() {
-    if (kind_ == QueueKind::kTwoTier) {
-      calendar_.pop();
-    } else {
-      heap_.pop();
-    }
-  }
-
-  void clear() {
-    calendar_.clear();
-    heap_.clear();
-  }
-
- private:
-  QueueKind kind_;
-  CalendarQueue calendar_;
-  HeapQueue heap_;
 };
 
 }  // namespace ibsim::core

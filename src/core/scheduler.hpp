@@ -12,9 +12,7 @@ namespace ibsim::core {
 
 /// Discrete-event scheduler over a two-tier event queue: a calendar
 /// wheel for the short-horizon events that dominate a busy fabric,
-/// backed by a 4-ary min-heap for far-future timers (see EventQueue).
-/// The reference heap-only queue remains selectable for A/B testing —
-/// both orderings are bit-for-bit identical by construction.
+/// backed by a 4-ary min-heap for far-future timers (see CalendarQueue).
 ///
 /// This is the replacement for the OMNeT++ kernel the paper's model ran
 /// on. It is deliberately minimal: schedule, run, stop. Determinism is a
@@ -30,13 +28,10 @@ class Scheduler {
   /// path is one indexed increment — no strings, no hashing.
   static constexpr std::size_t kKindSlots = 7;
 
-  explicit Scheduler(QueueKind kind = QueueKind::kTwoTier) : queue_(kind) {}
+  Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Which pending-event structure this scheduler runs on.
-  [[nodiscard]] QueueKind queue_kind() const { return queue_.kind(); }
 
   /// Current simulation time. Advances only while events execute.
   [[nodiscard]] Time now() const { return now_; }
@@ -97,15 +92,14 @@ class Scheduler {
   }
 
   /// Burn one insertion sequence number without scheduling anything.
-  /// The fabric fast path reserves the slot an elided event would have
-  /// occupied so every event that *does* execute keeps the exact
-  /// (at, seq) it would have had on the slow path — the foundation of
-  /// the fast-on/fast-off bit-identity guarantee (DESIGN.md §11).
+  /// The fabric reserves the slot an elided link wakeup or a merged
+  /// credit return would have occupied, so every event that does execute
+  /// keeps the (at, seq) position the golden pins fix (DESIGN.md §11).
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedule an event into a sequence slot previously obtained from
   /// reserve_seq(). The queue orders by (at, seq), so a deferred wakeup
-  /// scheduled late still lands exactly where its eager twin would have.
+  /// scheduled late still lands in the slot it reserved at elision time.
   void schedule_at_reserved(Time at, std::uint64_t seq, EventHandler* target,
                             std::uint32_t kind, std::uint64_t a = 0, std::uint64_t b = 0) {
     IBSIM_ASSERT(target != nullptr, "event needs a target handler");
@@ -144,7 +138,7 @@ class Scheduler {
   void clear();
 
  private:
-  EventQueue queue_;
+  CalendarQueue queue_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

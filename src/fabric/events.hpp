@@ -31,7 +31,7 @@ enum EventKind : std::uint32_t {
   return (static_cast<std::uint64_t>(vl) << 32) | static_cast<std::uint32_t>(bytes);
 }
 
-/// Deferred credit return (fast path): the byte count lives in the
+/// Deferred (coalesced) credit return: the byte count lives in the
 /// receiving port's pending_credit[vl] accumulator instead of the event
 /// payload, so several same-(port,vl,time) returns can share one event.
 inline constexpr std::uint64_t kCreditDeferredBit = 1ull << 63;

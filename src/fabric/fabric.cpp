@@ -158,42 +158,39 @@ void Fabric::schedule_credit_return(core::Scheduler& sched, topo::DeviceId dev,
   }
   core::EventHandler* target = handlers_[static_cast<std::size_t>(upstream.device)];
   CoalesceCandidate& coal = coal_[static_cast<std::size_t>(shard)];
-  if (params_.fast_path) {
-    OutputPort& op = output_port_at(upstream.device, upstream.port);
-    std::int32_t& pending = port_bank_at(upstream.device).pending_credit(upstream.port, vl);
-    if (coal.dev == upstream.device && coal.port == upstream.port && coal.vl == vl &&
-        coal.at == at && pending > 0 && !sched.watch_hit() && !op.idle(at)) {
-      // Same destination, same refund instant, deferred event still in
-      // flight, and nothing else scheduled at `at` since it was created:
-      // ride the existing event. Burn the slot this event would have
-      // taken so downstream sequence numbers are unchanged.
-      //
-      // The `!op.idle(at)` leg makes the merge invisible: the reference
-      // path refunds in two steps and arbitrates after each, so a grant
-      // (or FECN-threshold read) at `at` between the halves would see
-      // only the first refund. A port busy strictly past `at` cannot
-      // grant there in either mode (busy_until never moves backwards),
-      // so folding the second refund into the first changes nothing any
-      // event at `at` can observe.
-      pending += bytes;
-      (void)sched.reserve_seq();
-      return;
-    }
-    if (pending == 0) {
-      // Open a fresh deferred return and make it the merge candidate.
-      pending = bytes;
-      (void)sched.schedule_at(at, target, kEvCreditUpdate, pack_credit_deferred(vl),
-                              static_cast<std::uint64_t>(upstream.port));
-      coal = {upstream.device, upstream.port, vl, at};
-      sched.arm_watch(at);
-      return;
-    }
-    // A deferred event for this (port, vl) is outstanding at another
-    // timestamp: fall through to a plain self-contained event rather
-    // than risk double-draining the accumulator. Costs one event — the
-    // fast path's failure mode is always less coalescing, never a
-    // behavioural difference.
+  OutputPort& op = output_port_at(upstream.device, upstream.port);
+  std::int32_t& pending = port_bank_at(upstream.device).pending_credit(upstream.port, vl);
+  if (coal.dev == upstream.device && coal.port == upstream.port && coal.vl == vl &&
+      coal.at == at && pending > 0 && !sched.watch_hit() && !op.idle(at)) {
+    // Same destination, same refund instant, deferred event still in
+    // flight, and nothing else scheduled at `at` since it was created:
+    // ride the existing event. Burn the slot this event would have
+    // taken so downstream sequence numbers are unchanged.
+    //
+    // The `!op.idle(at)` leg makes the merge invisible: two separate
+    // refunds would each be followed by an arbitration attempt, so a
+    // grant (or FECN-threshold read) at `at` between the halves would
+    // see only the first refund. A port busy strictly past `at` cannot
+    // grant there (busy_until never moves backwards), so folding the
+    // second refund into the first changes nothing any event at `at`
+    // can observe.
+    pending += bytes;
+    (void)sched.reserve_seq();
+    return;
   }
+  if (pending == 0) {
+    // Open a fresh deferred return and make it the merge candidate.
+    pending = bytes;
+    (void)sched.schedule_at(at, target, kEvCreditUpdate, pack_credit_deferred(vl),
+                            static_cast<std::uint64_t>(upstream.port));
+    coal = {upstream.device, upstream.port, vl, at};
+    sched.arm_watch(at);
+    return;
+  }
+  // A deferred event for this (port, vl) is outstanding at another
+  // timestamp: fall back to a plain self-contained event rather than
+  // risk double-draining the accumulator. Costs one event — coalescing's
+  // failure mode is always less merging, never a behavioural difference.
   sched.schedule_at(at, target, kEvCreditUpdate, pack_credit(vl, bytes),
                     static_cast<std::uint64_t>(upstream.port));
 }

@@ -166,7 +166,7 @@ class Fabric {
   /// The PortVlBank owning (dev, *)'s per-VL state, switch or HCA.
   [[nodiscard]] PortVlBank& port_bank_at(topo::DeviceId dev);
 
-  /// Credit-coalescing candidate (fast path): the most recently scheduled
+  /// Credit-coalescing candidate: the most recently scheduled
   /// deferred credit event. A later return for the same (dev, port, vl)
   /// at the same timestamp merges into it — adding to the port's
   /// pending_credit accumulator and burning the event's sequence slot —

@@ -10,14 +10,14 @@
 
 namespace ibsim::fabric {
 
-/// Fast-path link-wakeup state (FabricParams::fast_path). The slow path
-/// schedules kEvLinkFree unconditionally after every grant; the fast
-/// path elides it when the output drained, remembering the (at, seq)
-/// slot the event would have occupied so a later materialization — or
-/// the lazy no-op application at the next arbitration attempt — is
-/// indistinguishable from the eager schedule (DESIGN.md §11).
+/// Lazy link-wakeup state. A grant schedules kEvLinkFree only while the
+/// output still has work; when the output drained the wakeup is elided,
+/// remembering the (at, seq) slot the event would have occupied so a
+/// later materialization — or the lazy no-op application at the next
+/// arbitration attempt — keeps the event order the golden pins fix
+/// (DESIGN.md §11).
 enum class WakeState : std::uint8_t {
-  kNone = 0,       ///< no wakeup outstanding (slow path always here)
+  kNone = 0,       ///< no wakeup outstanding
   kScheduled = 1,  ///< a kEvLinkFree with seq == wake_seq is in the queue
   kElided = 2,     ///< slot reserved at (busy_until, wake_seq), no event queued
 };
@@ -50,7 +50,7 @@ struct OutputPort {
 
   core::Time busy_until = 0;
 
-  // Fast-path wakeup bookkeeping (see WakeState). wake_seq identifies the
+  // Wakeup bookkeeping (see WakeState). wake_seq identifies the
   // live wakeup: an in-queue kEvLinkFree whose seq differs is stale and
   // must be dropped without acting.
   WakeState wake = WakeState::kNone;

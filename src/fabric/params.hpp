@@ -53,14 +53,6 @@ struct FabricParams {
   /// arrival) versus store-and-forward.
   bool cut_through = true;
 
-  /// Fabric event fast path: elide no-op link wakeups (reserving their
-  /// (at, seq) slots), skip arbitration on credit updates that arrive
-  /// while the port is serializing, and coalesce same-(port, vl, time)
-  /// credit returns into one event. Bit-identical simulation results on
-  /// vs. off by construction (DESIGN.md §11); off runs the reference
-  /// event-per-hop chain for A/B testing.
-  bool fast_path = true;
-
   [[nodiscard]] ib::Vl cnp_vl() const {
     return cnp_on_own_vl && n_vls > 1 ? static_cast<ib::Vl>(n_vls - 1) : ib::kDataVl;
   }

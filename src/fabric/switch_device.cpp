@@ -13,7 +13,6 @@ SwitchDevice::SwitchDevice(Fabric* fabric, topo::DeviceId dev, std::int32_t n_po
       dev_(dev),
       n_ports_(n_ports),
       fabric_vls_(fabric->params().n_vls),
-      fast_path_(fabric->params().fast_path),
       arena_(&fabric->arena_for(dev)),
       lft_row_(fabric->routing().lft_row(dev)) {
   IBSIM_ASSERT(n_ports <= 64, "switch radix limited to 64 by the arbitration bitmask");
@@ -35,15 +34,12 @@ void SwitchDevice::on_event(core::Scheduler& sched, const core::Event& ev) {
       receive(sched, static_cast<ib::PacketHandle>(ev.a), static_cast<std::int32_t>(ev.b));
       break;
     case kEvLinkFree: {
-      if (fast_path_) {
-        // Only the live wakeup acts; a superseded one (the port granted
-        // again at the same timestamp before this fired) is dropped. On
-        // the slow path the same event runs try_send against a busy port
-        // — a pure no-op — so dropping it is behaviour-identical.
-        auto& op = outputs_[static_cast<std::size_t>(ev.b)];
-        if (op.wake != WakeState::kScheduled || ev.seq != op.wake_seq) break;
-        op.wake = WakeState::kNone;
-      }
+      // Only the live wakeup acts; a superseded one (the port granted
+      // again at the same timestamp before this fired) would run
+      // try_send against a busy port — a pure no-op — so it is dropped.
+      auto& op = outputs_[static_cast<std::size_t>(ev.b)];
+      if (op.wake != WakeState::kScheduled || ev.seq != op.wake_seq) break;
+      op.wake = WakeState::kNone;
       try_send(sched, static_cast<std::int32_t>(ev.b));
       break;
     }
@@ -59,11 +55,11 @@ void SwitchDevice::on_event(core::Scheduler& sched, const core::Event& ev) {
       } else {
         bank_.credit(port, vl).refund(credit_bytes(ev.a));
       }
-      // Busy-aware fast path: while the port is serializing, try_send
-      // could not grant anyway (and a deferred wakeup can only be
-      // outstanding for a workless port — see DESIGN.md §11), so skip
-      // the arbitration attempt entirely.
-      if (fast_path_ && !outputs_[static_cast<std::size_t>(port)].idle(sched.now())) break;
+      // Busy-aware: while the port is serializing, try_send could not
+      // grant anyway (and a deferred wakeup can only be outstanding for a
+      // workless port — see DESIGN.md §11), so skip the arbitration
+      // attempt entirely.
+      if (!outputs_[static_cast<std::size_t>(port)].idle(sched.now())) break;
       try_send(sched, port);
       break;
     }
@@ -100,14 +96,13 @@ bool SwitchDevice::input_eligible(std::int32_t in, std::int32_t out, ib::Vl vl) 
 
 void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
   auto& op = outputs_[static_cast<std::size_t>(out_port)];
-  if (fast_path_ && op.wake == WakeState::kElided) {
+  if (op.wake == WakeState::kElided) {
     const core::Time now = sched.now();
     if (now < op.busy_until ||
         (now == op.busy_until && op.wake_seq > sched.current_seq())) {
       // The elided wakeup's (at, seq) slot is still ahead of the event
-      // being dispatched: materialize it into its reserved slot so the
-      // arbitration it would have run happens exactly where the slow
-      // path's eager kEvLinkFree would have run it.
+      // being dispatched: materialize it into its reserved slot, so the
+      // arbitration runs at the position the golden pins fix.
       sched.schedule_at_reserved(op.busy_until, op.wake_seq, this, kEvLinkFree, 0,
                                  static_cast<std::uint64_t>(out_port));
       op.wake = WakeState::kScheduled;
@@ -123,18 +118,16 @@ void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
     }
   }
   if (grant_one(sched, out_port)) {
-    if (!fast_path_) {
-      sched.schedule_at(op.busy_until, this, kEvLinkFree, 0,
-                        static_cast<std::uint64_t>(out_port));
-    } else if (active_vls(out_port) != 0) {
+    if (active_vls(out_port) != 0) {
       // Work still queued behind this grant: the wakeup will do real
-      // arbitration, so schedule it eagerly (slow-path behaviour).
+      // arbitration, so schedule it now.
       op.wake = WakeState::kScheduled;
       op.wake_seq = sched.schedule_at(op.busy_until, this, kEvLinkFree, 0,
                                       static_cast<std::uint64_t>(out_port));
     } else {
       // Output drained: elide the wakeup but burn its sequence slot so
-      // every later event keeps its slow-path (at, seq) position.
+      // every later event keeps the (at, seq) position the golden pins
+      // fix.
       op.wake = WakeState::kElided;
       op.wake_seq = sched.reserve_seq();
     }

@@ -122,7 +122,6 @@ class SwitchDevice final : public core::EventHandler {
   topo::DeviceId dev_;
   std::int32_t n_ports_;
   std::int32_t fabric_vls_;
-  bool fast_path_;                  ///< FabricParams::fast_path, cached off the hot path
   ib::PacketArena* arena_ = nullptr;  ///< this device's shard-local arena
   const std::int32_t* lft_row_;     ///< this switch's row of the flat LFT, indexed by dst
   std::vector<OutputPort> outputs_;

@@ -1,5 +1,6 @@
 #include "sim/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -70,16 +71,26 @@ bool Cli::parse(int argc, char** argv) {
       if (i + 1 >= argc) fail("option '--" + arg + "' needs a value");
       value = argv[++i];
     }
+    // An empty value or one strto* clamps (ERANGE) is as malformed as
+    // trailing garbage. Values are stored only once valid, so the usage
+    // text fail() prints still shows the defaults.
     char* end = nullptr;
+    errno = 0;
     switch (opt.kind) {
-      case Kind::Int:
-        opt.int_value = std::strtoll(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') fail("'--" + arg + "' expects an integer");
+      case Kind::Int: {
+        const std::int64_t v = std::strtoll(value.c_str(), &end, 10);
+        if (value.empty() || *end != '\0') fail("'--" + arg + "' expects an integer");
+        if (errno == ERANGE) fail("'--" + arg + "' is out of the 64-bit integer range");
+        opt.int_value = v;
         break;
-      case Kind::Double:
-        opt.double_value = std::strtod(value.c_str(), &end);
-        if (end == nullptr || *end != '\0') fail("'--" + arg + "' expects a number");
+      }
+      case Kind::Double: {
+        const double v = std::strtod(value.c_str(), &end);
+        if (value.empty() || *end != '\0') fail("'--" + arg + "' expects a number");
+        if (errno == ERANGE) fail("'--" + arg + "' is out of the double range");
+        opt.double_value = v;
         break;
+      }
       case Kind::String:
         opt.string_value = value;
         break;

@@ -43,11 +43,6 @@ struct ExperimentPreset {
   std::uint64_t seed = 1;
   std::int32_t threads = 0;  ///< 0 = hardware concurrency
 
-  /// Fabric event fast path (lazy link wakeups, coalesced credit
-  /// returns). Bit-identical results either way; off only for A/B
-  /// timing runs such as `table2_silent --no-fast-path`.
-  bool fabric_fast_path = true;
-
   /// On-disk result store directory ("" = none), propagated into every
   /// config the preset builds so run_parallel serves repeated cells from
   /// cache (see SimConfig::result_store). Benches expose it as

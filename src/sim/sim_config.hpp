@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/event_queue.hpp"
 #include "core/time.hpp"
 #include "fabric/params.hpp"
 #include "ib/cc_params.hpp"
@@ -107,26 +106,6 @@ struct SimConfig {
   core::Time warmup = 500 * core::kMicrosecond;
 
   std::uint64_t seed = 1;
-
-  /// Share topology/routing snapshots across runs through the process-wide
-  /// content-keyed SnapshotCache (sim/snapshot.hpp). Snapshots are
-  /// immutable either way — disabling only forces every Simulation to
-  /// rebuild its own copy, which the cache-equivalence tests use to prove
-  /// results are bit-identical with sharing on and off.
-  bool snapshot_cache = true;
-
-  /// Pending-event structure of the run's scheduler. The default
-  /// two-tier calendar queue and the reference heap produce bit-identical
-  /// simulations (guarded by the A/B determinism tests); the heap exists
-  /// for those tests and for perf comparisons.
-  core::QueueKind scheduler_queue = core::QueueKind::kTwoTier;
-
-  /// Fabric event fast path (fabric::FabricParams::fast_path): lazy link
-  /// wakeups, busy-aware credit handling and coalesced credit returns.
-  /// On and off produce bit-identical SimResults (guarded by the A/B
-  /// equivalence tests); off runs the reference one-event-per-action
-  /// chain, cutting only events_executed, never behaviour.
-  bool fabric_fast_path = true;
 
   /// Latency histogram range (microseconds).
   double latency_hist_max_us = 20000.0;

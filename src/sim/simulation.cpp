@@ -14,12 +14,6 @@
 namespace ibsim::sim {
 
 namespace {
-std::shared_ptr<const RoutingSnapshot> resolve_snapshot(const SimConfig& config) {
-  if (config.snapshot_cache) return SnapshotCache::instance().routing(config);
-  return build_routing_snapshot(build_topology_snapshot(config),
-                                tie_break_for(config.topology));
-}
-
 workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
   const WorkloadSettings& w = config.workload;
   if (w.name == "file") {
@@ -44,19 +38,16 @@ workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
 }  // namespace
 
 Simulation::Simulation(const SimConfig& config)
-    : Simulation(config, resolve_snapshot(config)) {}
+    : Simulation(config, SnapshotCache::instance().routing(config)) {}
 
 Simulation::Simulation(const SimConfig& config,
                        std::shared_ptr<const RoutingSnapshot> snapshot)
-    : config_(config), sched_(config.scheduler_queue), snapshot_(std::move(snapshot)) {
+    : config_(config), snapshot_(std::move(snapshot)) {
   IBSIM_ASSERT(snapshot_ != nullptr && snapshot_->topology != nullptr,
                "Simulation needs a complete snapshot");
   IBSIM_ASSERT(snapshot_->topology->topo.node_count() == config_.node_count(),
                "snapshot does not match the config's topology");
   const topo::Topology& topo = snapshot_->topology->topo;
-  // The fabric-layer fast-path gate rides on the sim-level knob so CLI
-  // and config files steer it the same way as the scheduler queue.
-  config_.fabric.fast_path = config.fabric_fast_path;
   // CCT entries must cover the CCTI limit; IRD delays reference the
   // injection capacity so the linear table yields rate = cap / (1+i).
   const std::size_t cct_entries = static_cast<std::size_t>(config.cc.ccti_limit) + 1;
@@ -163,7 +154,7 @@ const fabric::Fabric::ShardLayout* Simulation::prepare_shards(const topo::Topolo
   shard_plan_ = topo::make_shard_plan(topo, want);
   if (shard_plan_.n_shards <= 1) return nullptr;
   for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
-    shard_scheds_.push_back(std::make_unique<core::Scheduler>(config_.scheduler_queue));
+    shard_scheds_.push_back(std::make_unique<core::Scheduler>());
     shard_layout_.scheds.push_back(shard_scheds_.back().get());
   }
   shard_layout_.shard_of_device = &shard_plan_.shard_of_device;
@@ -194,9 +185,9 @@ SimResult Simulation::run() {
     sched_.run_until(config_.warmup);
     // Pin the measurement window to the configured instants, not to
     // sched_.now(): the scheduler clock rests on the last *executed*
-    // event, and the fabric fast path elides bookkeeping events, so a
-    // last-event-based window would make rate denominators depend on the
-    // event-chain mode and break the fast/slow bit-identity guarantee.
+    // event, and the fabric elides bookkeeping events, so a
+    // last-event-based window would make rate denominators depend on
+    // which bookkeeping events happened to run.
     metrics_->reset_window(config_.warmup);
     sched_.run_until(config_.sim_time);
   }

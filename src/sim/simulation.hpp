@@ -84,8 +84,7 @@ struct SimResult {
 class Simulation {
  public:
   /// Build from `config`, drawing the topology/routing pair from the
-  /// process-wide SnapshotCache (or building a private copy when
-  /// `config.snapshot_cache` is false).
+  /// process-wide SnapshotCache.
   explicit Simulation(const SimConfig& config);
 
   /// Build onto an explicit pre-computed snapshot (sweep harnesses that
@@ -135,8 +134,8 @@ class Simulation {
 
   /// Same, with rates referenced to an explicit instant. run() uses the
   /// configured sim_time so rate denominators never depend on when the
-  /// last bookkeeping event happened to fire (the fabric fast path
-  /// elides some of those, and results must be bit-identical fast/slow).
+  /// last bookkeeping event happened to fire (the fabric elides some of
+  /// those, so the last-event time is not a property of the traffic).
   [[nodiscard]] SimResult snapshot_at(core::Time now) const;
 
  private:

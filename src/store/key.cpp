@@ -37,10 +37,6 @@ class CanonicalWriter {
   std::string out_;
 };
 
-const char* queue_kind_name(core::QueueKind kind) {
-  return kind == core::QueueKind::kTwoTier ? "two_tier" : "heap";
-}
-
 const char* cct_fill_name(ib::CctFill fill) {
   return fill == ib::CctFill::Geometric ? "geometric" : "linear";
 }
@@ -103,7 +99,6 @@ std::string canonical_config_text(const sim::SimConfig& c) {
   w.field("fabric.hca_ibuf_data_bytes", c.fabric.hca_ibuf_data_bytes);
   w.field("fabric.hca_ibuf_cnp_bytes", c.fabric.hca_ibuf_cnp_bytes);
   w.field("fabric.cut_through", c.fabric.cut_through);
-  w.field("fabric.fast_path", c.fabric.fast_path);
 
   // Congestion control.
   w.field("cc.enabled", c.cc.enabled);
@@ -142,9 +137,6 @@ std::string canonical_config_text(const sim::SimConfig& c) {
   w.field("sim_time", static_cast<std::int64_t>(c.sim_time));
   w.field("warmup", static_cast<std::int64_t>(c.warmup));
   w.field("seed", c.seed);
-  w.field("snapshot_cache", c.snapshot_cache);
-  w.field("scheduler_queue", std::string(queue_kind_name(c.scheduler_queue)));
-  w.field("fabric_fast_path", c.fabric_fast_path);
   w.field("latency_hist_max_us", c.latency_hist_max_us);
   // Sharded runs are deterministic per shard count but cross-shard
   // interleaving can differ between shard counts, so `shards` is part of

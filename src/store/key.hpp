@@ -9,11 +9,10 @@ namespace ibsim::store {
 /// Canonical text form of a fully-resolved SimConfig: one `key=value`
 /// line per field, fields in a fixed order, doubles printed as C hexfloat
 /// (`%a`, exact round-trip), times/integers in decimal. Every SimConfig
-/// field is included — even ones proven bit-identical across settings
-/// (scheduler queue, fabric fast path, snapshot cache): a conservative
-/// key can only cost a cache miss, never return a wrong result. The one
-/// exception is `result_store` itself, which names where results are
-/// cached and must not feed the key of what is cached.
+/// field is included: a conservative key can only cost a cache miss,
+/// never return a wrong result. The exceptions are `result_store` itself,
+/// which names where results are cached and must not feed the key of
+/// what is cached, and `threads`, which never changes results.
 ///
 /// Adding a field to SimConfig (or any struct it embeds) requires adding
 /// it here; the round-trip tests in tests/store pin the format.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ibsim::sim {
@@ -74,6 +75,32 @@ TEST(CliDeath, BadIntegerExits) {
   Cli cli("test");
   cli.add_int("count", 0, "");
   EXPECT_DEATH(parse(cli, {"--count=abc"}), "integer");
+}
+
+TEST(CliDeath, EmptyNumericValueExits) {
+  Cli cli("test");
+  cli.add_int("seed", 1, "");
+  cli.add_double("rate", 1.0, "");
+  EXPECT_EXIT(parse(cli, {"--seed="}), ::testing::ExitedWithCode(2), "expects an integer");
+  EXPECT_EXIT(parse(cli, {"--rate="}), ::testing::ExitedWithCode(2), "expects a number");
+}
+
+TEST(CliDeath, OutOfRangeIntegerExits) {
+  // strtoll clamps to INT64_MAX and flags ERANGE; the clamp must not pass
+  // for the value the user typed.
+  Cli cli("test");
+  cli.add_int("seed", 1, "");
+  EXPECT_EXIT(parse(cli, {"--seed=99999999999999999999999"}), ::testing::ExitedWithCode(2),
+              "out of the 64-bit integer range");
+  EXPECT_EXIT(parse(cli, {"--seed=-99999999999999999999999"}), ::testing::ExitedWithCode(2),
+              "out of the 64-bit integer range");
+}
+
+TEST(Cli, Int64ExtremesStillParse) {
+  Cli cli("test");
+  cli.add_int("seed", 1, "");
+  EXPECT_TRUE(parse(cli, {"--seed=9223372036854775807"}));
+  EXPECT_EQ(cli.get_int("seed"), INT64_MAX);
 }
 
 TEST(CliDeath, MissingValueExits) {

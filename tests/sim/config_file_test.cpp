@@ -150,6 +150,44 @@ TEST(ConfigFile, ReportsMalformedLine) {
             std::string::npos);
 }
 
+TEST(ConfigFile, RejectsIntegersTheFieldCannotHold) {
+  SimConfig config;
+  const std::int32_t leaves = config.clos.leaves;
+  // 2^32 + 2 used to wrap to 2 through a static_cast.
+  std::string err = apply_config_text("clos_leaves = 4294967298\n", &config);
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_EQ(config.clos.leaves, leaves);
+  EXPECT_NE(apply_config_text("threshold_weight = 256\n", &config).find("out of range"),
+            std::string::npos);
+  EXPECT_NE(apply_config_text("ccti_timer = -1\n", &config).find("out of range"),
+            std::string::npos);
+  EXPECT_NE(apply_config_text("shards = 4294967297\n", &config).find("non-negative 32-bit"),
+            std::string::npos);
+  // The picosecond product of a microsecond key must fit core::Time.
+  EXPECT_NE(apply_config_text("sim_time_us = 9223372036854775\n", &config).find("out of range"),
+            std::string::npos);
+  // Boundary values still apply.
+  EXPECT_TRUE(apply_config_text("clos_leaves = 2147483647\nthreshold_weight = 255\n", &config)
+                  .empty());
+  EXPECT_EQ(config.clos.leaves, 2147483647);
+  EXPECT_EQ(config.cc.threshold_weight, 255);
+}
+
+TEST(ConfigFile, RejectsIntegersBeyondInt64) {
+  SimConfig config;
+  const std::string err = apply_config_text("seed = 99999999999999999999999\n", &config);
+  EXPECT_NE(err.find("expected an integer"), std::string::npos) << err;
+  EXPECT_EQ(config.seed, SimConfig{}.seed);
+}
+
+TEST(ConfigFile, FabricFastPathIsAnUnknownKey) {
+  // The fabric has one event path; the old A/B toggle is not a key.
+  SimConfig config;
+  EXPECT_NE(apply_config_text("fabric_fast_path = 0\n", &config).find("unknown key"),
+            std::string::npos);
+}
+
 TEST(ConfigFile, CcAlgoKeyApplies) {
   SimConfig config;
   EXPECT_TRUE(apply_config_text("cc_algo = dcqcn\n", &config).empty());

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "../sim/fresh_snapshot.hpp"
 #include "ccalg/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
@@ -126,11 +127,8 @@ TEST(WorkloadEngine, NoBackgroundLeavesVictimsSilent) {
 }
 
 TEST(WorkloadEngine, ResultsIdenticalAcrossSnapshotCacheModes) {
-  sim::SimConfig cached = clos_config();
-  cached.snapshot_cache = true;
-  sim::SimConfig rebuilt = clos_config();
-  rebuilt.snapshot_cache = false;
-  expect_same_workload(sim::run_sim(cached), sim::run_sim(rebuilt));
+  const sim::SimConfig config = clos_config();
+  expect_same_workload(sim::run_sim(config), sim::testing::run_on_fresh_snapshot(config));
 }
 
 TEST(WorkloadEngine, ResultsIdenticalAcrossRunParallelThreadCounts) {

@@ -278,7 +278,7 @@ TEST(PacketQueue, InterleavedFrontBackAccounting) {
 }
 
 TEST(PacketArena, ResetCoversEveryHeaderField) {
-  // The fast path recycles packets harder (fewer events between release
+  // Lazy wakeups recycle packets harder (fewer events between release
   // and reallocation), so a stale CC mark or stream tag on a reused slot
   // would silently corrupt marking statistics. Exercise every field
   // reset() promises to clear.

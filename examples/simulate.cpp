@@ -172,18 +172,16 @@ int main(int argc, char** argv) {
 
   if (cli.flag("verbose")) core::Log::set_level(core::LogLevel::Info);
 
-  const auto& algo_registry = ccalg::CcAlgorithmRegistry::instance();
   if (cli.flag("list-cc-algos") || cli.get_string("cc-algo") == "help") {
     std::printf("registered congestion-control algorithms:\n");
-    for (const std::string& name : algo_registry.names()) {
+    for (const std::string& name : ccalg::CcAlgorithmRegistry::instance().names()) {
       std::printf("  %s\n", name.c_str());
     }
     return 0;
   }
-  const auto& workload_registry = workload::WorkloadRegistry::instance();
   if (cli.flag("list-workloads") || cli.get_string("workload") == "help") {
     std::printf("registered workloads:\n");
-    for (const std::string& name : workload_registry.names()) {
+    for (const std::string& name : workload::WorkloadRegistry::instance().names()) {
       std::printf("  %s\n", name.c_str());
     }
     std::printf("  file (DSL file via --workload-file)\n");
@@ -308,34 +306,10 @@ int main(int argc, char** argv) {
   take_int("workload-iters", &config.workload.iterations);
   take_us("workload-compute-us", &config.workload.compute);
   if (cli.flag("workload-no-background")) config.workload.background_uniform = false;
-  if (config.workload.active()) {
-    const std::string& wname = config.workload.name;
-    if (wname == "file") {
-      if (config.workload.file.empty()) {
-        std::fprintf(stderr, "--workload=file needs --workload-file (or workload_file)\n");
-        return 2;
-      }
-      workload::WorkloadSpec spec;
-      const std::string err = workload::load_workload_file(config.workload.file, &spec);
-      if (!err.empty()) {
-        std::fprintf(stderr, "workload file error: %s\n", err.c_str());
-        return 2;
-      }
-    } else if (!workload_registry.contains(wname)) {
-      std::fprintf(stderr, "unknown workload '%s' (valid: %s, or 'file')\n", wname.c_str(),
-                   workload_registry.names_joined().c_str());
-      return 2;
-    }
-  }
 
   if (given("no-cc")) config.cc.enabled = !cli.flag("no-cc");
   if (cli.was_set("cc-algo") || config.cc_algo.empty()) {
     config.cc_algo = cli.get_string("cc-algo");
-  }
-  if (!algo_registry.contains(config.cc_algo)) {
-    std::fprintf(stderr, "unknown cc algorithm '%s' (valid: %s)\n", config.cc_algo.c_str(),
-                 algo_registry.names_joined().c_str());
-    return 2;
   }
   take_int("threshold", &config.cc.threshold_weight);
   take_int("marking-rate", &config.cc.marking_rate);
@@ -377,13 +351,9 @@ int main(int argc, char** argv) {
   if (bad_value) return 2;
   if (cli.flag("telemetry-detailed")) config.telemetry.detailed = true;
   if (cli.flag("counters")) config.telemetry.counters = true;
-  {
-    std::uint32_t mask = 0;
-    if (!telemetry::parse_categories(config.telemetry.trace_categories, &mask)) {
-      std::fprintf(stderr, "unknown trace category in '%s'\n",
-                   config.telemetry.trace_categories.c_str());
-      return 2;
-    }
+  if (const std::string err = sim::validate(config); !err.empty()) {
+    std::fprintf(stderr, "config error: %s\n", err.c_str());
+    return 2;
   }
 
   // Result store: the --result-store flag overrides a config-file

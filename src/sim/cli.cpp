@@ -39,6 +39,8 @@ void Cli::add_string(const std::string& name, std::string default_value,
   order_.push_back(name);
 }
 
+void Cli::add_positionals(std::string usage) { positional_usage_ = std::move(usage); }
+
 bool Cli::parse(int argc, char** argv) {
   auto fail = [&](const std::string& msg) {
     std::fprintf(stderr, "error: %s\n", msg.c_str());
@@ -48,7 +50,11 @@ bool Cli::parse(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) fail("unexpected argument '" + arg + "'");
+    if (arg.rfind("--", 0) != 0) {
+      if (positional_usage_.empty()) fail("unexpected argument '" + arg + "'");
+      positionals_.push_back(arg);
+      continue;
+    }
     arg = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -133,7 +139,9 @@ const std::string& Cli::get_string(const std::string& name) const {
 }
 
 void Cli::print_usage() const {
-  std::printf("%s\n\noptions:\n", description_.c_str());
+  std::printf("%s\n\n", description_.c_str());
+  if (!positional_usage_.empty()) std::printf("arguments:\n  %s\n\n", positional_usage_.c_str());
+  std::printf("options:\n");
   for (const std::string& name : order_) {
     const Option& opt = options_.at(name);
     std::string left = "--" + name;

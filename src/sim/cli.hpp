@@ -19,6 +19,9 @@ class Cli {
   void add_int(const std::string& name, std::int64_t default_value, const std::string& help);
   void add_double(const std::string& name, double default_value, const std::string& help);
   void add_string(const std::string& name, std::string default_value, const std::string& help);
+  /// Accept bare (non-`--`) arguments, kept in order; `usage` describes
+  /// them in the help text. Without this call they are an error.
+  void add_positionals(std::string usage);
 
   /// Parse argv. On `--help` prints usage and returns false (caller
   /// should exit 0); on errors prints a message and calls exit(2).
@@ -32,6 +35,7 @@ class Cli {
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
+  [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }
 
   void print_usage() const;
 
@@ -52,6 +56,8 @@ class Cli {
   std::string description_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
+  std::string positional_usage_;
+  std::vector<std::string> positionals_;
 };
 
 }  // namespace ibsim::sim

@@ -130,7 +130,7 @@ struct SimConfig {
   std::int32_t threads = 0;
 
   /// On-disk result store directory ("" = no store). When set, sweep
-  /// harnesses (run_parallel, simulate, the sweep service) consult the
+  /// harnesses (run_parallel, simulate, the sweep CLI) consult the
   /// content-addressed store (src/store) before running and publish
   /// fresh results into it, so repeated and interrupted campaigns only
   /// compute missing cells. Orchestration-only: this path is the one
@@ -151,5 +151,14 @@ struct SimConfig {
   [[nodiscard]] std::int32_t node_count() const;
   [[nodiscard]] std::string describe() const;
 };
+
+/// Check what Simulation would otherwise assert on: topology dimensions
+/// and switch radix, scenario fractions, the hotspot count against the
+/// node count, fabric and CC parameters, the algorithm, workload and
+/// trace-category names, workload ranks; also a non-positive sim time,
+/// which would run nothing and report zeros. Front ends call it before
+/// running so a bad config exits with this diagnostic instead of
+/// aborting. Returns "" when the config can run.
+[[nodiscard]] std::string validate(const SimConfig& config);
 
 }  // namespace ibsim::sim

@@ -85,7 +85,7 @@ class ResultStore {
   /// Number of records currently on disk (scans the objects tree).
   [[nodiscard]] std::uint64_t entries() const;
 
-  /// Keys of every record on disk, sorted (tests, sweepctl status).
+  /// Keys of every record on disk, sorted.
   [[nodiscard]] std::vector<std::string> keys() const;
 
   struct Stats {
@@ -126,8 +126,8 @@ class ResultStore {
 };
 
 /// Process-wide directory-keyed registry of open stores, so every
-/// subsystem touching `--result-store=DIR` (run_parallel workers, the
-/// sweep service, the CLI front ends) shares one ResultStore per
+/// subsystem touching `--result-store=DIR` (run_parallel workers and
+/// the CLI front ends) shares one ResultStore per
 /// directory and its stats aggregate in one place.
 class StoreRegistry {
  public:

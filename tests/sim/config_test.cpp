@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/experiment.hpp"
 
 namespace ibsim::sim {
@@ -94,6 +96,98 @@ TEST(ExperimentPreset, PValuesCoverPaperAxis) {
   ASSERT_FALSE(preset.p_values.empty());
   EXPECT_DOUBLE_EQ(preset.p_values.front(), 0.0);
   EXPECT_DOUBLE_EQ(preset.p_values.back(), 1.0);
+}
+
+TEST(SimConfigValidate, ShippedConfigsAreValid) {
+  EXPECT_EQ(validate(SimConfig{}), "");
+  EXPECT_EQ(validate(ExperimentPreset::quick().base_config()), "");
+  SimConfig ft3;
+  ft3.topology = TopologyKind::FatTree3;
+  for (const auto& shape : {topo::FatTree3Params::scale_2k(), topo::FatTree3Params::scale_10k()}) {
+    ft3.fat_tree3 = shape;
+    EXPECT_EQ(validate(ft3), "");
+  }
+}
+
+TEST(SimConfigValidate, HotspotCountMustFitTheNodeCount) {
+  // The config-file case: a small topology that leaves hotspots at 8.
+  SimConfig config;
+  config.topology = TopologyKind::SingleSwitch;
+  config.single_switch_nodes = 4;
+  const std::string err = validate(config);
+  EXPECT_NE(err.find("hotspots 8"), std::string::npos) << err;
+  EXPECT_NE(err.find("4 nodes"), std::string::npos) << err;
+  config.scenario.n_hotspots = 4;
+  EXPECT_EQ(validate(config), "");
+  config.scenario.n_hotspots = -1;
+  EXPECT_NE(validate(config), "");
+  // A workload replaces the scenario, so its hotspot count is unused.
+  config.scenario.n_hotspots = 8;
+  config.workload.name = "incast";
+  EXPECT_EQ(validate(config), "");
+}
+
+TEST(SimConfigValidate, RejectsWhatTheBuildersAndFabricAssertOn) {
+  const auto invalid = [](auto mutate) {
+    SimConfig config;
+    config.topology = TopologyKind::SingleSwitch;
+    config.scenario.n_hotspots = 1;
+    mutate(config);
+    return !validate(config).empty();
+  };
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.single_switch_nodes = 1; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.single_switch_nodes = 65; }));  // radix
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.topology = TopologyKind::FoldedClos;
+    c.clos.spines = 0;
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.topology = TopologyKind::FatTree3;
+    c.fat_tree3.pods = 40;  // core radix 40 x 2
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.topology = TopologyKind::Mesh2D;
+    c.mesh_rows = 1;
+    c.mesh_cols = 1;
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.topology = TopologyKind::Mesh2D;
+    c.mesh_rows = 1 << 20;
+    c.mesh_cols = 1 << 20;  // more nodes than an int32 holds
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.scenario.fraction_b = 1.5; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.scenario.fraction_c_of_rest = 2.0; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.scenario.p = std::nan(""); }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.sim_time = 0; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.warmup = -1; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.fabric.n_vls = 0; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.cc.ccti_timer = 0; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.cc.cct_base = 1.0; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.cc_algo = "bogus"; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.telemetry.trace_categories = "cc,bogus"; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.telemetry.counters_csv = "c.csv";
+    c.telemetry.sample_interval = 0;
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.workload.name = "bogus"; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) { c.workload.name = "file"; }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.workload.name = "file";
+    c.workload.file = "/nonexistent/ibsim.wl";
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.workload.name = "incast";
+    c.workload.ranks = 9;  // 8 nodes
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.workload.name = "incast";
+    c.workload.ranks = 1;
+  }));
+  EXPECT_TRUE(invalid([](SimConfig& c) {
+    c.workload.name = "incast";
+    c.workload.message_bytes = 0;
+  }));
+  EXPECT_FALSE(invalid([](SimConfig&) {}));
 }
 
 }  // namespace

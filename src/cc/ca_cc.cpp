@@ -22,7 +22,6 @@ CaCcAgent::CaCcAgent(ib::NodeId self, std::int32_t n_nodes, const ib::CcParams& 
   ctx.cct = cct;
   algo_ = ccalg::CcAlgorithmRegistry::instance().create(
       params_.enabled ? algo : "none", ctx);
-  ended_scratch_.reserve(static_cast<std::size_t>(ctx.n_flows));
 }
 
 std::int32_t CaCcAgent::flow_index(ib::NodeId dst) const {
@@ -33,12 +32,15 @@ std::int32_t CaCcAgent::flow_index(ib::NodeId dst) const {
 
 core::Time CaCcAgent::flow_ready_at(ib::NodeId dst) const {
   if (!params_.enabled) return 0;
-  return algo_->ready_at(flow_index(dst));
+  const std::int32_t flow = flow_index(dst);
+  return flow == last_grant_flow_ ? last_grant_ready_ : algo_->ready_at(flow);
 }
 
 void CaCcAgent::on_data_granted(ib::NodeId dst, std::int32_t bytes, core::Time end) {
   if (!params_.enabled) return;
-  algo_->on_send(flow_index(dst), bytes, end);
+  const std::int32_t flow = flow_index(dst);
+  last_grant_ready_ = algo_->on_send(flow, bytes, end);
+  last_grant_flow_ = flow;
 }
 
 void CaCcAgent::on_becn(ib::NodeId flow_dst, core::Time now) {

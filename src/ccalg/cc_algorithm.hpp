@@ -10,9 +10,11 @@
 namespace ibsim::ccalg {
 
 /// Construction-time context for a reaction-point algorithm instance.
-/// One instance serves one channel-adapter port; `n_flows` sizes its
-/// per-destination state (1 in SL-level mode, where the whole port
-/// shares one flow slot — the agent maps destinations to slot indices).
+/// One instance serves one channel-adapter port; flow indices it is
+/// called with lie in [0, n_flows) (n_flows is 1 in SL-level mode, where
+/// the whole port shares one flow — the agent maps destinations to flow
+/// indices). It is a range bound only: algorithms hold state for the
+/// flows they throttle, not a slot per possible destination.
 struct CcAlgoContext {
   std::int32_t n_flows = 1;
   ib::CcParams params;
@@ -46,8 +48,8 @@ struct BecnOutcome {
 /// that call sequence (no wall clock, no unseeded randomness).
 ///
 /// The surrounding CaCcAgent keeps the FECN turnaround, the recovery
-/// timer event, counters and telemetry — an algorithm only decides how
-/// flows are throttled and how they recover:
+/// timer event, counters, telemetry and the last grant's ready time — an
+/// algorithm only decides how flows are throttled and how they recover:
 ///
 ///  * on_send      — a data packet of `flow` finished injection at `end`;
 ///                   record and return the flow's next-ready time.
@@ -70,6 +72,10 @@ class CcAlgorithm {
   virtual core::Time on_send(std::int32_t flow, std::int32_t bytes, core::Time end) = 0;
 
   /// Earliest time `flow` may inject its next packet (0 = immediately).
+  /// Exact while the algorithm holds state for the flow (throttled, or
+  /// recovered with its paced ready time still ahead); any other flow
+  /// reads 0, so an unthrottled flow's last grant end is the caller's to
+  /// remember (on_send returns it).
   [[nodiscard]] virtual core::Time ready_at(std::int32_t flow) const = 0;
 
   /// The inter-packet gap the current throttle state inserts after a

@@ -6,13 +6,9 @@
 
 namespace ibsim::ccalg {
 
-IbaA10::IbaA10(const CcAlgoContext& ctx) : params_(ctx.params), cct_(ctx.cct) {
+IbaA10::IbaA10(const CcAlgoContext& ctx)
+    : params_(ctx.params), cct_(ctx.cct), flows_(ctx.n_flows) {
   IBSIM_ASSERT(cct_ != nullptr, "iba_a10 needs a congestion control table");
-  IBSIM_ASSERT(ctx.n_flows > 0, "iba_a10 needs at least one flow slot");
-  flows_.resize(static_cast<std::size_t>(ctx.n_flows));
-  // Every flow can be active at once; reserving here keeps the BECN/timer
-  // hot path free of reallocation for the whole run.
-  active_flows_.reserve(static_cast<std::size_t>(ctx.n_flows));
 }
 
 std::unique_ptr<CcAlgorithm> IbaA10::make(const CcAlgoContext& ctx) {
@@ -20,33 +16,20 @@ std::unique_ptr<CcAlgorithm> IbaA10::make(const CcAlgoContext& ctx) {
 }
 
 core::Time IbaA10::on_send(std::int32_t flow, std::int32_t bytes, core::Time end) {
-  FlowCc& f = flows_[static_cast<std::size_t>(flow)];
-  if (f.ccti == 0) {
-    f.ready_at = end;
-    return f.ready_at;
-  }
-  f.ready_at = end + cct_->ird_delay(f.ccti, bytes);
-  return f.ready_at;
-}
-
-core::Time IbaA10::ready_at(std::int32_t flow) const {
-  return flows_[static_cast<std::size_t>(flow)].ready_at;
+  return flows_.on_send(flow, end, [&](const FlowCc& f) -> core::Time {
+    return f.ccti == 0 ? 0 : cct_->ird_delay(f.ccti, bytes);
+  });
 }
 
 core::Time IbaA10::injection_delay(std::int32_t flow, std::int32_t bytes) const {
-  const FlowCc& f = flows_[static_cast<std::size_t>(flow)];
-  return f.ccti == 0 ? 0 : cct_->ird_delay(f.ccti, bytes);
+  const FlowCc* f = flows_.find(flow);
+  return f == nullptr || f->ccti == 0 ? 0 : cct_->ird_delay(f->ccti, bytes);
 }
 
 BecnOutcome IbaA10::on_becn(std::int32_t flow, core::Time now) {
   (void)now;
-  FlowCc& f = flows_[static_cast<std::size_t>(flow)];
   BecnOutcome out;
-  out.newly_throttled = f.ccti == 0 && f.active_idx < 0;
-  if (out.newly_throttled) {
-    f.active_idx = static_cast<std::int32_t>(active_flows_.size());
-    active_flows_.push_back(flow);
-  }
+  FlowCc& f = flows_.throttle(flow, &out.newly_throttled);
   const std::uint16_t before = f.ccti;
   f.ccti = static_cast<std::uint16_t>(
       std::min<std::uint32_t>(f.ccti + params_.ccti_increase, params_.ccti_limit));
@@ -56,43 +39,30 @@ BecnOutcome IbaA10::on_becn(std::int32_t flow, core::Time now) {
 }
 
 core::Time IbaA10::timer_delay() const {
-  return active_flows_.empty() ? 0 : params_.timer_interval();
+  return flows_.active_count() == 0 ? 0 : params_.timer_interval();
 }
 
 std::int64_t IbaA10::on_timer(core::Time now, std::vector<std::int32_t>* ended) {
-  (void)now;
   // Every expiry of the CCTI_Timer decrements the CCTI of all flows of
   // the port by one, down to CCTI_Min. Only throttled flows are visited;
-  // flows reaching zero leave the active list (swap-remove).
-  for (std::size_t i = 0; i < active_flows_.size();) {
-    const std::int32_t flow = active_flows_[i];
-    FlowCc& f = flows_[static_cast<std::size_t>(flow)];
+  // flows reaching zero leave the active list.
+  flows_.on_timer(now, ended, [&](FlowCc& f) {
     if (f.ccti > params_.ccti_min) {
       --f.ccti;
       --ccti_total_;
     }
-    if (f.ccti == 0) {
-      f.active_idx = -1;
-      active_flows_[i] = active_flows_.back();
-      active_flows_.pop_back();
-      if (i < active_flows_.size()) {
-        flows_[static_cast<std::size_t>(active_flows_[i])].active_idx =
-            static_cast<std::int32_t>(i);
-      }
-      if (ended != nullptr) ended->push_back(flow);
-    } else {
-      ++i;
-    }
-  }
+    return f.ccti == 0;
+  });
   return ccti_total_;
 }
 
 std::uint16_t IbaA10::ccti(std::int32_t flow) const {
-  return flows_[static_cast<std::size_t>(flow)].ccti;
+  const FlowCc* f = flows_.find(flow);
+  return f != nullptr ? f->ccti : 0;
 }
 
 double IbaA10::rate_fraction(std::int32_t flow) const {
-  return cct_->rate_fraction(flows_[static_cast<std::size_t>(flow)].ccti);
+  return cct_->rate_fraction(ccti(flow));
 }
 
 }  // namespace ibsim::ccalg

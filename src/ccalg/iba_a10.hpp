@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ccalg/cc_algorithm.hpp"
+#include "ccalg/flow_table.hpp"
 
 namespace ibsim::ccalg {
 
@@ -14,6 +15,10 @@ namespace ibsim::ccalg {
 /// `CCTI_Limit`, an injection-rate delay looked up in the Congestion
 /// Control Table, and a `CCTI_Timer` chain that decrements every
 /// throttled flow's CCTI by one per expiry down to `CCTI_Min`.
+///
+/// Flow state is sparse (ThrottledFlows): only flows with CCTI > 0, or
+/// just recovered with a paced ready time still ahead, hold an entry;
+/// every other destination reads as CCTI 0.
 ///
 /// This is the default algorithm and the behaviour baseline: with
 /// `cc_algo = iba_a10` a simulation must be bit-identical to the
@@ -27,7 +32,9 @@ class IbaA10 final : public CcAlgorithm {
   [[nodiscard]] const char* name() const override { return "iba_a10"; }
 
   core::Time on_send(std::int32_t flow, std::int32_t bytes, core::Time end) override;
-  [[nodiscard]] core::Time ready_at(std::int32_t flow) const override;
+  [[nodiscard]] core::Time ready_at(std::int32_t flow) const override {
+    return flows_.ready_at(flow);
+  }
   [[nodiscard]] core::Time injection_delay(std::int32_t flow,
                                            std::int32_t bytes) const override;
 
@@ -37,7 +44,7 @@ class IbaA10 final : public CcAlgorithm {
   std::int64_t on_timer(core::Time now, std::vector<std::int32_t>* ended) override;
 
   [[nodiscard]] std::int32_t active_flow_count() const override {
-    return static_cast<std::int32_t>(active_flows_.size());
+    return flows_.active_count();
   }
   [[nodiscard]] std::int64_t severity_sum() const override { return ccti_total_; }
   [[nodiscard]] std::uint16_t ccti(std::int32_t flow) const override;
@@ -45,20 +52,16 @@ class IbaA10 final : public CcAlgorithm {
 
  private:
   struct FlowCc {
-    std::uint16_t ccti = 0;
-    std::int32_t active_idx = -1;  ///< position in active_flows_, -1 if idle
     core::Time ready_at = 0;
+    std::uint16_t ccti = 0;
+    bool active = false;  ///< on the timer's visit list
+    [[nodiscard]] bool at_rest() const { return ccti == 0; }
   };
 
   ib::CcParams params_;
   const ib::CongestionControlTable* cct_;
-
-  /// Per-destination state (QP level); in SL-level mode the agent maps
-  /// every destination to slot 0.
-  std::vector<FlowCc> flows_;
-  /// Flows with CCTI > 0 — the only ones the timer must visit.
-  std::vector<std::int32_t> active_flows_;
-  std::int64_t ccti_total_ = 0;  ///< sum of CCTIs over active_flows_
+  ThrottledFlows<FlowCc> flows_;
+  std::int64_t ccti_total_ = 0;  ///< sum of CCTIs over the active flows
 };
 
 }  // namespace ibsim::ccalg

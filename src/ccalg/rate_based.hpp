@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ccalg/cc_algorithm.hpp"
+#include "ccalg/flow_table.hpp"
 
 namespace ibsim::ccalg {
 
@@ -15,15 +16,20 @@ namespace ibsim::ccalg {
 /// rate `r` is followed by a gap of T(b) x (1 - r) / r, so back-to-back
 /// MTU packets average `r` x reference rate.
 ///
-/// The active-flow set uses the same swap-remove bookkeeping as IbaA10;
-/// the severity gauge is the quantized rate deficit
-/// sum(round(1024 x (1 - rate))), maintained incrementally.
+/// Flow state is sparse and shared with IbaA10 (ThrottledFlows): a flow
+/// holds an entry while its rate is below 1, while any other field is
+/// off its initial value (DCQCN's alpha keeps its decayed value after
+/// recovery, as the dense layout did), or while a just-recovered flow's
+/// paced ready time is still ahead. The severity gauge is the quantized
+/// rate deficit sum(round(1024 x (1 - rate))), maintained incrementally.
 class RateBasedAlgorithm : public CcAlgorithm {
  public:
   RateBasedAlgorithm(const CcAlgoContext& ctx, double min_rate);
 
   core::Time on_send(std::int32_t flow, std::int32_t bytes, core::Time end) override;
-  [[nodiscard]] core::Time ready_at(std::int32_t flow) const override;
+  [[nodiscard]] core::Time ready_at(std::int32_t flow) const override {
+    return flows_.ready_at(flow);
+  }
   [[nodiscard]] core::Time injection_delay(std::int32_t flow,
                                            std::int32_t bytes) const override;
 
@@ -33,11 +39,12 @@ class RateBasedAlgorithm : public CcAlgorithm {
   std::int64_t on_timer(core::Time now, std::vector<std::int32_t>* ended) override;
 
   [[nodiscard]] std::int32_t active_flow_count() const override {
-    return static_cast<std::int32_t>(active_flows_.size());
+    return flows_.active_count();
   }
   [[nodiscard]] std::int64_t severity_sum() const override { return severity_total_; }
   [[nodiscard]] double rate_fraction(std::int32_t flow) const override {
-    return flows_[static_cast<std::size_t>(flow)].rate;
+    const RateFlow* f = flows_.find(flow);
+    return f != nullptr ? f->rate : 1.0;
   }
 
  protected:
@@ -46,8 +53,11 @@ class RateBasedAlgorithm : public CcAlgorithm {
     double target = 1.0;  ///< recovery target (DCQCN; unused by AIMD)
     double alpha = 1.0;   ///< congestion estimate (DCQCN; unused by AIMD)
     std::uint32_t stage = 0;  ///< recovery stages since the last BECN
-    std::int32_t active_idx = -1;
+    bool active = false;      ///< on the timer's visit list
     core::Time ready_at = 0;
+    [[nodiscard]] bool at_rest() const {
+      return rate == 1.0 && target == 1.0 && alpha == 1.0 && stage == 0;
+    }
   };
 
   /// Tighten `f` for one BECN (rate must end in [min_rate, 1]).
@@ -61,14 +71,14 @@ class RateBasedAlgorithm : public CcAlgorithm {
   ib::CcParams params_;
 
  private:
+  [[nodiscard]] core::Time delay_of(const RateFlow& f, std::int32_t bytes) const;
   [[nodiscard]] static std::int64_t severity_of(const RateFlow& f) {
     return static_cast<std::int64_t>(1024.0 * (1.0 - f.rate) + 0.5);
   }
 
   double ref_gbps_;
   double min_rate_;
-  std::vector<RateFlow> flows_;
-  std::vector<std::int32_t> active_flows_;
+  ThrottledFlows<RateFlow> flows_;
   std::int64_t severity_total_ = 0;
 };
 

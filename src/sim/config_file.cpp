@@ -46,7 +46,7 @@ constexpr const char* kKnownKeys[] = {
     "single_nodes", "chain_switches", "chain_nodes", "dumbbell_nodes",
     "mesh_rows", "mesh_cols", "mesh_nodes", "ft3_pods", "ft3_leaves_per_pod",
     "ft3_aggs_per_pod", "ft3_cores", "ft3_nodes_per_leaf", "fraction_b",
-    "p_percent", "fraction_c", "hotspots", "lifetime_us", "inject_gbps",
+    "p_percent", "fraction_c", "hotspots", "c_nodes_active", "lifetime_us", "inject_gbps",
     "cc_enabled", "cc_algo", "threshold_weight", "marking_rate", "packet_size",
     "victim_mask", "ccti_increase", "ccti_limit", "ccti_min", "ccti_timer",
     "sl_level", "cct_fill", "cct_base", "wire_gbps", "hca_inject_gbps",
@@ -179,6 +179,8 @@ std::string apply_key(const std::string& key, const std::string& value, SimConfi
   if (key == "fraction_c")
     return want_double([&](auto v) { c->scenario.fraction_c_of_rest = v; });
   if (key == "hotspots") return want_field(&c->scenario.n_hotspots);
+  if (key == "c_nodes_active")
+    return want_int([&](auto v) { c->scenario.c_nodes_active = v != 0; });
   if (key == "lifetime_us")
     return want_us([&](auto v) {
       c->scenario.hotspot_lifetime = v > 0 ? v * core::kMicrosecond : core::kTimeNever;

@@ -17,7 +17,8 @@ namespace ibsim::sim {
 ///   clos_leaves, clos_spines, clos_nodes_per_leaf
 ///   single_nodes, chain_switches, chain_nodes
 ///   dumbbell_nodes, mesh_rows, mesh_cols, mesh_nodes
-///   fraction_b, p_percent, fraction_c, hotspots, lifetime_us, inject_gbps
+///   fraction_b, p_percent, fraction_c, hotspots, c_nodes_active (0/1),
+///   lifetime_us, inject_gbps
 ///   workload (a workload::WorkloadRegistry name, or 'file'),
 ///   workload_file, workload_ranks, workload_bytes, workload_iters,
 ///   workload_compute_us, workload_background (0/1)

@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -65,9 +66,13 @@ SimConfig ExperimentPreset::base_config() const {
   return config;
 }
 
+std::int32_t hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : static_cast<std::int32_t>(hw);
+}
+
 std::int32_t resolve_threads(std::int32_t threads) {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::int32_t hw = hw_raw == 0 ? 4 : static_cast<std::int32_t>(hw_raw);
+  const std::int32_t hw = hardware_threads();
   if (threads > 0) return threads;
   // CI (and users pinning a sweep to a core budget) override the
   // hardware default without touching every preset. A malformed value
@@ -102,23 +107,11 @@ double SweepReport::utilization() const {
   return busy / (wall_seconds * static_cast<double>(workers.size()));
 }
 
-void SweepReport::publish(telemetry::CounterRegistry& registry) const {
-  registry.set(registry.gauge("sweep.wall_us"),
-               static_cast<std::int64_t>(wall_seconds * 1e6));
-  registry.set(registry.gauge("sweep.workers"),
-               static_cast<std::int64_t>(workers.size()));
-  registry.set(registry.gauge("sweep.utilization_permille"),
-               static_cast<std::int64_t>(utilization() * 1000.0));
-  registry.set(registry.gauge("sweep.store_hits"), static_cast<std::int64_t>(store_hits));
-  registry.set(registry.gauge("sweep.store_misses"),
-               static_cast<std::int64_t>(store_misses));
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    const std::string prefix = "sweep.worker." + std::to_string(w);
-    registry.set(registry.gauge(prefix + ".busy_us"),
-                 static_cast<std::int64_t>(workers[w].busy_seconds * 1e6));
-    registry.set(registry.gauge(prefix + ".runs"),
-                 static_cast<std::int64_t>(workers[w].runs));
-  }
+std::size_t sweep_pool_size(std::int32_t threads, std::int32_t hardware,
+                            std::size_t pending) {
+  IBSIM_ASSERT(threads > 0 && hardware > 0, "pool size needs positive thread counts");
+  return std::min({static_cast<std::size_t>(threads), static_cast<std::size_t>(hardware),
+                   pending});
 }
 
 std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
@@ -165,10 +158,8 @@ std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
         }
       }
     }
-    threads = resolve_threads(threads);
-    const auto n_workers = static_cast<std::size_t>(threads) < todo.size()
-                               ? static_cast<std::size_t>(threads)
-                               : todo.size();
+    const std::size_t n_workers =
+        sweep_pool_size(resolve_threads(threads), hardware_threads(), todo.size());
     // Work-stealing via a shared cursor: each worker claims the next
     // unstarted run the moment it goes idle, so one long moving-hotspot
     // run cannot strand a statically assigned tail behind it. Result

@@ -246,19 +246,6 @@ std::uint64_t ResultStore::entries() const {
   return n;
 }
 
-std::vector<std::string> ResultStore::keys() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& shard : fs::directory_iterator(fs::path(dir_) / "objects", ec)) {
-    if (!shard.is_directory()) continue;
-    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
-      if (object.is_regular_file()) out.push_back(object.path().filename().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 ResultStore::Stats ResultStore::stats() const {
   return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
           puts_.load(std::memory_order_relaxed), evictions_.load(std::memory_order_relaxed),

@@ -85,9 +85,6 @@ class ResultStore {
   /// Number of records currently on disk (scans the objects tree).
   [[nodiscard]] std::uint64_t entries() const;
 
-  /// Keys of every record on disk, sorted.
-  [[nodiscard]] std::vector<std::string> keys() const;
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

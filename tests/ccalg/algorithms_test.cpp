@@ -73,6 +73,27 @@ TEST_F(AlgorithmsTest, IbaA10SendAppliesIrdOfCurrentCcti) {
   EXPECT_EQ(algo->ready_at(0), ready);
 }
 
+TEST_F(AlgorithmsTest, IbaA10RecoveredFlowKeepsPacedReadyTimeUntilItPasses) {
+  auto algo = make("iba_a10");
+  algo->on_becn(1, 0);
+  const core::Time end = 5 * core::kMicrosecond;
+  const core::Time ready = algo->on_send(1, ib::kMtuBytes, end);
+  ASSERT_GT(ready, end);
+  // The timer fully recovers the flow before its paced ready time: the
+  // ready time must survive the recovery.
+  std::vector<std::int32_t> ended;
+  algo->on_timer(end, &ended);
+  ASSERT_EQ(ended, std::vector<std::int32_t>{1});
+  EXPECT_EQ(algo->ccti(1), 0);
+  EXPECT_EQ(algo->ready_at(1), ready);
+  // Once a timer expiry passes it, the entry is dropped; the flow reads
+  // as never throttled.
+  algo->on_becn(2, ready);
+  algo->on_timer(ready, nullptr);
+  EXPECT_EQ(algo->ready_at(1), 0);
+  EXPECT_EQ(algo->injection_delay(1, ib::kMtuBytes), 0);
+}
+
 // --- dcqcn -----------------------------------------------------------------
 
 TEST_F(AlgorithmsTest, DcqcnBecnCutsRateMultiplicatively) {

@@ -9,7 +9,9 @@
 // and pins the count to a small constant — the only allocations permitted
 // are calendar-wheel buckets setting a new occupancy record, which is a
 // geometric O(log) process over the whole run, not O(packets). The packet
-// arena itself must not grow at all.
+// arena itself must not grow at all. The allocator also sums requested
+// bytes, which pins a CC agent's construction footprint: reaction-point
+// state must not scale with the number of destinations.
 //
 // Kept in its own test binary so the counting allocator cannot interact
 // with any other suite.
@@ -20,15 +22,21 @@
 #include <cstdlib>
 #include <new>
 
+#include "cc/ca_cc.hpp"
+#include "core/scheduler.hpp"
+#include "ib/cc_params.hpp"
+#include "ib/cct.hpp"
 #include "sim/simulation.hpp"
 #include "topo/builders.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -36,6 +44,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                (size + static_cast<std::size_t>(align) - 1) &
                                    ~(static_cast<std::size_t>(align) - 1));
@@ -122,6 +131,28 @@ TEST(AllocAudit, SteadyStateWindowHasNoPerPacketAllocationsWithoutCc) {
       << counts.heap_allocs << " allocations over " << counts.events
       << " events";
   EXPECT_EQ(counts.arena_growths, 0u);
+}
+
+class NullCnpSender : public cc::CnpSender {
+ public:
+  void send_cnp(ib::NodeId, ib::NodeId) override {}
+};
+
+TEST(AllocAudit, PerQpAgentFootprintIsIndependentOfNodeCount) {
+  // Reaction-point state is held only for throttled flows, so an agent
+  // serving 2^24 destinations costs what one serving 8 does.
+  ib::CongestionControlTable cct(128, 13.5);
+  cct.populate_geometric(1.05);
+  core::Scheduler sched;
+  NullCnpSender sender;
+  const ib::CcParams params = ib::CcParams::paper_table1();
+  ASSERT_FALSE(params.sl_level);
+  for (const char* algo : {"iba_a10", "dcqcn", "aimd"}) {
+    const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+    const cc::CaCcAgent agent(0, std::int32_t{1} << 24, params, &cct, &sched, &sender, algo);
+    const std::uint64_t bytes = g_heap_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(bytes, 4096u) << algo << " agent allocated " << bytes << " bytes";
+  }
 }
 
 TEST(AllocAudit, ArenaPreSizedForTopology) {

@@ -1,6 +1,7 @@
 #include "sim/config_file.hpp"
 
 #include "sim/simulation.hpp"
+#include "store/key.hpp"
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,21 @@ TEST(ConfigFile, BooleansFromIntegers) {
   EXPECT_FALSE(config.cc.enabled);
   EXPECT_TRUE(config.cc.sl_level);
   EXPECT_FALSE(config.fabric.cut_through);
+}
+
+TEST(ConfigFile, CNodesActiveKeyGivesDistinctRunKeys) {
+  // Table II's "No hotspots" cells silence the C nodes; with this key
+  // `sweep cc_enabled=0,1 c_nodes_active=0,1` spans all four cells.
+  SimConfig silent;
+  SimConfig active;
+  ASSERT_TRUE(apply_config_text("c_nodes_active = 0\n", &silent).empty());
+  ASSERT_TRUE(apply_config_text("c_nodes_active = 1\n", &active).empty());
+  EXPECT_FALSE(silent.scenario.c_nodes_active);
+  EXPECT_TRUE(active.scenario.c_nodes_active);
+  EXPECT_NE(store::run_key(silent), store::run_key(active));
+  EXPECT_EQ(store::run_key(active), store::run_key(SimConfig{}));  // the default
+  EXPECT_NE(apply_config_text("c_nodes_active = yes\n", &silent).find("integer"),
+            std::string::npos);
 }
 
 TEST(ConfigFile, ReportsUnknownKeyWithLine) {

@@ -67,6 +67,18 @@ TEST(ResolveThreads, EnvOverridesHardwareDefaultClampedToHardware) {
   EXPECT_EQ(resolve_threads(0), hw);
 }
 
+TEST(SweepPoolSize, CapsAtHardwareAndPendingCells) {
+  EXPECT_EQ(sweep_pool_size(3, 4, 10), 3u);
+  // An explicit request beyond the core count (sweep --threads=N) is
+  // capped at the hardware, as the IBSIM_THREADS path is.
+  EXPECT_EQ(sweep_pool_size(100000, 4, 10), 4u);
+  EXPECT_EQ(sweep_pool_size(8, 16, 2), 2u);  // never idle workers
+  EXPECT_EQ(sweep_pool_size(1, 4, 10), 1u);
+  // resolve_threads leaves an explicit count unclamped (shard workers use
+  // it as is); only the sweep pool applies the cap.
+  EXPECT_EQ(resolve_threads(100000), 100000);
+}
+
 TEST(ResolveThreadsDeathTest, RejectsGarbageAndNonPositiveValues) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const char* bad : {"banana", "", "3x", "-2", "0", "99999999999999999999"}) {

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                  "publish fresh ones");
   cli.add_int("threads", 0,
               "sweep worker threads (0 = config-file threads, then IBSIM_THREADS, "
-              "then hardware)");
+              "then hardware; never more than the hardware threads)");
   cli.add_flag("version", "print the code version stamp and exit");
   cli.add_positionals("KEY=V1,V2,...  one axis per argument, in config-file key vocabulary");
   if (!cli.parse(argc, argv)) return 0;

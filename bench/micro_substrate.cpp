@@ -151,6 +151,17 @@ void BM_RoutingTablesSunDcs648(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingTablesSunDcs648);
 
+void BM_RoutingTablesFatTree3Scale10k(benchmark::State& state) {
+  // The 10k-endpoint setup's routing layer: 608 switches x 10240
+  // destinations (a 6.2 MB byte LFT).
+  const topo::Topology topo = topo::fat_tree3(topo::FatTree3Params::scale_10k());
+  for (auto _ : state) {
+    const topo::RoutingTables rt = topo::RoutingTables::compute(topo);
+    benchmark::DoNotOptimize(rt.out_port(topo.switches()[0], topo.node_count() - 1));
+  }
+}
+BENCHMARK(BM_RoutingTablesFatTree3Scale10k)->Unit(benchmark::kMillisecond);
+
 void BM_SimulationEventThroughput(benchmark::State& state) {
   // End-to-end events/second of a congested 72-node fabric — the number
   // the paper-figure wall-clock estimates scale from. Items processed

@@ -72,7 +72,7 @@ void SwitchDevice::receive(core::Scheduler& sched, ib::PacketHandle h, std::int3
   ib::PacketArena& arena = *arena_;
   const ib::Packet& pkt = arena.get(h);
   const std::int32_t out = lft_row_[pkt.dst];
-  IBSIM_ASSERT(out >= 0 && out < n_ports_, "LFT has no route to destination");
+  IBSIM_ASSERT(out < n_ports_, "LFT has no route to destination");
   const ib::Vl vl = pkt.vl;
   const std::int32_t bytes = pkt.bytes;
   busy_mask(out, vl) |= 1ull << in_port;

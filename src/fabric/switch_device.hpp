@@ -123,7 +123,7 @@ class SwitchDevice final : public core::EventHandler {
   std::int32_t n_ports_;
   std::int32_t fabric_vls_;
   ib::PacketArena* arena_ = nullptr;  ///< this device's shard-local arena
-  const std::int32_t* lft_row_;     ///< this switch's row of the flat LFT, indexed by dst
+  const std::uint8_t* lft_row_;     ///< this switch's row of the flat LFT, indexed by dst
   std::vector<OutputPort> outputs_;
   PortVlBank bank_;                          ///< per (out, vl): credits/pending/rr/cc
   std::vector<ib::PacketQueue> voqs_;        ///< [(out * n_vls + vl) * n_ports + in]

@@ -1,5 +1,7 @@
 #include "topo/builders.hpp"
 
+#include <string>
+
 #include "core/assert.hpp"
 
 namespace ibsim::topo {
@@ -88,6 +90,21 @@ Topology dumbbell(std::int32_t nodes_per_side) {
   return topo;
 }
 
+namespace {
+
+/// "p<pod><role><index>", built by appending: the equivalent
+/// `"p" + std::to_string(pod) + ...` chain trips a GCC 12 -Wrestrict
+/// false positive in libstdc++'s operator+.
+std::string pod_name(std::int32_t pod, const char* role, std::int32_t index) {
+  std::string name = "p";
+  name += std::to_string(pod);
+  name += role;
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
+
 Topology fat_tree3(const FatTree3Params& params) {
   IBSIM_ASSERT(params.pods > 0 && params.leaves_per_pod > 0 && params.aggs_per_pod > 0 &&
                    params.cores > 0 && params.nodes_per_leaf > 0,
@@ -99,7 +116,7 @@ Topology fat_tree3(const FatTree3Params& params) {
   for (std::int32_t p = 0; p < params.pods; ++p) {
     for (std::int32_t l = 0; l < params.leaves_per_pod; ++l) {
       leaves.push_back(topo.add_switch(params.nodes_per_leaf + params.aggs_per_pod,
-                                       "p" + std::to_string(p) + "leaf" + std::to_string(l)));
+                                       pod_name(p, "leaf", l)));
       // Pods are the natural shard unit: all intra-pod links stay inside
       // one partition group, only agg<->core links cross groups.
       topo.set_partition_group(leaves.back(), p);
@@ -108,7 +125,7 @@ Topology fat_tree3(const FatTree3Params& params) {
   for (std::int32_t p = 0; p < params.pods; ++p) {
     for (std::int32_t a = 0; a < params.aggs_per_pod; ++a) {
       aggs.push_back(topo.add_switch(params.leaves_per_pod + params.cores,
-                                     "p" + std::to_string(p) + "agg" + std::to_string(a)));
+                                     pod_name(p, "agg", a)));
       topo.set_partition_group(aggs.back(), p);
     }
   }

@@ -126,7 +126,9 @@ TEST(FlowTable, RandomOpsMatchStdMap) {
       const Value* v = t.find(k);
       const auto it = ref.find(k);
       ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << op << " key " << k;
-      if (v != nullptr) ASSERT_EQ(v->v, it->second);
+      if (v != nullptr) {
+        ASSERT_EQ(v->v, it->second);
+      }
     }
   }
 }

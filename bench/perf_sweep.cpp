@@ -792,11 +792,12 @@ int main(int argc, char** argv) {
 
   // 10k-endpoint scale cell, with the per-endpoint footprint measured as
   // the cell's peak-RSS delta and gated. CC flow state is held only for
-  // throttled flows, so the delta is routing (~2.5 KiB/endpoint), fabric
-  // construction (~7 KiB) and the run's packets and event buckets
-  // (~7 KiB); any per-destination state creeping back costs at least
-  // 10 KiB per byte per destination at this size and fails the gate
-  // (the dense layout measured ~256 KiB). Repeats are capped at 2: each
+  // throttled flows and the LFT is one byte per (switch, destination),
+  // so the delta is routing (~0.6 KiB/endpoint), fabric construction
+  // (~7 KiB) and the run's packets and event buckets (~7 KiB); any
+  // per-destination state creeping back costs at least 10 KiB per byte
+  // per destination at this size and fails the gate (the dense CC
+  // layout measured ~256 KiB). Repeats are capped at 2: each
   // repeat re-builds a 10240-HCA fabric, and best-of-2 on a ~1.3M-event
   // run is already stable.
   bool gates_ok = true;

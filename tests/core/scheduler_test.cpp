@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -35,6 +37,16 @@ class Chainer : public EventHandler {
  private:
   int remaining_;
 };
+
+TEST(Scheduler, HeapAllocatedSchedulersStartOnTheirOwnCacheLine) {
+  // The sharded engine allocates one scheduler per shard; each must
+  // start a cache line so neighbouring shards never share one.
+  std::vector<std::unique_ptr<Scheduler>> shards;
+  for (int i = 0; i < 8; ++i) {
+    shards.push_back(std::make_unique<Scheduler>());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(shards.back().get()) % 64, 0u) << "shard " << i;
+  }
+}
 
 TEST(Scheduler, StartsAtTimeZeroEmpty) {
   Scheduler sched;
